@@ -50,6 +50,10 @@ void Fold(std::uint64_t* h, const void* data, std::size_t n) {
   }
 }
 
+bool NonEmpty(const rs::sim::ScalingAction& action) {
+  return !action.creation_times.empty() || action.deletions > 0;
+}
+
 void FoldAction(std::uint64_t* h, const rs::sim::ScalingAction& action) {
   const std::uint64_t count = action.creation_times.size();
   Fold(h, &count, sizeof(count));
@@ -65,8 +69,7 @@ constexpr std::uint64_t kBoundaryBit = 1ull << 63;
 
 }  // namespace
 
-ServeResult Serve(Fleet* f, const Stream& stream,
-                  const ServeOptions& options) {
+ServeResult Serve(Fleet* f, const Stream& stream, ServeOptions options) {
   rs::api::ScalerFleet& fleet = *f->fleet;
   Tracer* tracer = options.tracer;
   const std::size_t tenants = f->names.size();
@@ -74,8 +77,12 @@ ServeResult Serve(Fleet* f, const Stream& stream,
   r.digest.assign(tenants, kFnvBasis);
   // Sized and touched up front, so the process's peak memory does not
   // depend on how far a pass gets.
+  r.observe_ns = std::move(options.observe_buffer);
   r.observe_ns.assign(stream.arrivals.size(), 0.0f);
-  r.plan_ns.reserve(static_cast<std::size_t>(stream.horizon / stream.plan_every) + 2);
+  const auto max_boundaries = static_cast<std::size_t>(stream.horizon / stream.plan_every) + 2;
+  r.plan_ns.reserve(max_boundaries);
+  r.plan_cpu_ns.reserve(max_boundaries);
+  r.decided.reserve(max_boundaries);
 
   std::uint32_t observe_span = 0, boundary_span = 0;
   std::vector<std::uint32_t> plan_span(tenants, 0);
@@ -87,8 +94,8 @@ ServeResult Serve(Fleet* f, const Stream& stream,
     }
   }
 
-  std::int64_t excluded = 0;
-  const std::int64_t start = NowNs();
+  Clocks excluded;
+  const Clocks start = Clocks::Now();
   double next_plan = stream.plan_every;
   std::size_t i = 0;
   const std::size_t n = stream.arrivals.size();
@@ -124,16 +131,20 @@ ServeResult Serve(Fleet* f, const Stream& stream,
       break;
     }
     const std::uint64_t id = kBoundaryBit | r.boundaries;
-    const std::int64_t t0 = NowNs();
+    const Clocks t0 = Clocks::Now();
+    bool decided = false;
     if (tracer == nullptr) {
       const auto plans = fleet.PlanAll(next_plan);
-      r.plan_ns.push_back(static_cast<double>(NowNs() - t0));
+      const Clocks took = Clocks::Now() - t0;
+      r.plan_ns.push_back(static_cast<double>(took.wall_ns));
+      r.plan_cpu_ns.push_back(static_cast<double>(took.cpu_ns));
       for (std::size_t k = 0; k < plans.size(); ++k) {
         ++r.attempted;
         if (!plans[k].status.ok()) {
           ++r.failed;
           continue;
         }
+        decided = decided || NonEmpty(plans[k].action);
         FoldAction(&r.digest[k], plans[k].action);
       }
     } else {
@@ -148,18 +159,24 @@ ServeResult Serve(Fleet* f, const Stream& stream,
           ++r.failed;
           continue;
         }
+        decided = decided || NonEmpty(*action);
         FoldAction(&r.digest[k], *action);
       }
       tracer->End();
-      r.plan_ns.push_back(static_cast<double>(NowNs() - t0));
+      const Clocks took = Clocks::Now() - t0;
+      r.plan_ns.push_back(static_cast<double>(took.wall_ns));
+      r.plan_cpu_ns.push_back(static_cast<double>(took.cpu_ns));
     }
+    r.decided.push_back(decided ? 1 : 0);
     ++r.boundaries;
     if (options.after_boundary) {
       excluded += options.after_boundary(next_plan, r.boundaries - 1);
     }
     next_plan += stream.plan_every;
   }
-  r.serve_s = static_cast<double>(NowNs() - start - excluded) * 1e-9;
+  const Clocks served = Clocks::Now() - start - excluded;
+  r.serve_s = static_cast<double>(served.wall_ns) * 1e-9;
+  r.serve_cpu_s = static_cast<double>(served.cpu_ns) * 1e-9;
   r.observe_ns.resize(r.arrivals);
   // A boundary served by fallback returns OK with an empty action; the
   // fleet's health counters make it a failure.

@@ -56,6 +56,11 @@ struct Fleet {
   std::string error;  ///< Why set-up failed (fleet is null then).
 };
 
+/// Runs after each boundary's plan with (boundary time, boundary index);
+/// returns the time it spent on the benchmark's own bookkeeping, which the
+/// serving time excludes.
+using BoundaryHook = std::function<Clocks(double, std::size_t)>;
+
 struct ServeOptions {
   /// Traced pass: spans for every call, and per-tenant Plan calls in place
   /// of PlanAll.
@@ -65,26 +70,30 @@ struct ServeOptions {
   std::size_t max_boundaries = static_cast<std::size_t>(-1);
   /// Stop at the first boundary at or after this steady-clock time.
   std::int64_t deadline_ns = INT64_MAX;
-  /// Runs after each boundary's plan with (boundary time, boundary index);
-  /// returns the nanoseconds it spent on the benchmark's own bookkeeping,
-  /// which the serving wall time excludes.
-  std::function<std::int64_t(double, std::size_t)> after_boundary;
+  BoundaryHook after_boundary;
+  /// Reused for the per-arrival samples when its capacity suffices, so a
+  /// run can allocate it before set-up.
+  std::vector<float> observe_buffer;
 };
 
 struct ServeResult {
   std::vector<float> observe_ns;   ///< One per arrival.
-  std::vector<double> plan_ns;     ///< One per boundary (all tenants).
+  std::vector<double> plan_ns;     ///< One per boundary (all tenants), wall.
+  std::vector<double> plan_cpu_ns; ///< The same boundaries, process CPU.
+  /// Per boundary: some tenant returned a non-empty action.
+  std::vector<char> decided;
   std::size_t arrivals = 0;
   std::size_t boundaries = 0;
   bool completed = false;  ///< Served the whole stream.
   double serve_s = 0.0;    ///< Wall time of the loop minus bookkeeping.
+  double serve_cpu_s = 0.0;  ///< Process CPU time of the loop minus bookkeeping.
   std::uint64_t attempted = 0;
   std::uint64_t failed = 0;
   std::vector<std::uint64_t> digest;  ///< Per tenant, outcomes + actions.
 };
 
 ServeResult Serve(Fleet* fleet, const Stream& stream,
-                  const ServeOptions& options);
+                  ServeOptions options);
 
 /// A ServingTap that forwards every call to a FleetJournal and times the
 /// OnObserve/OnPlan/OnPlanAll calls as child spans of the current span.

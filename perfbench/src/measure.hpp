@@ -3,6 +3,8 @@
 // record the driver script reads.
 #pragma once
 
+#include <time.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -19,6 +21,29 @@ inline std::int64_t NowNs() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+/// CPU time of the whole process (every thread). Under paravirtual time
+/// accounting it excludes the time a vCPU is descheduled by the host and the
+/// time a thread waits for a CPU, which wall time counts.
+inline std::int64_t CpuNs() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<std::int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
+}
+
+/// Wall and process CPU time read together, or a span of both.
+struct Clocks {
+  std::int64_t wall_ns = 0;
+  std::int64_t cpu_ns = 0;
+
+  static Clocks Now() { return {NowNs(), CpuNs()}; }
+  Clocks operator-(const Clocks& o) const { return {wall_ns - o.wall_ns, cpu_ns - o.cpu_ns}; }
+  Clocks& operator+=(const Clocks& o) {
+    wall_ns += o.wall_ns;
+    cpu_ns += o.cpu_ns;
+    return *this;
+  }
+};
 
 /// A percentile read from a sample set: the percentile actually used, its
 /// value and how many samples it rests on.

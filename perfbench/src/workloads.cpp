@@ -1,11 +1,12 @@
 #include "workloads.hpp"
 
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -40,6 +41,7 @@ const std::vector<std::pair<std::string, std::string>>& PerLayerMetrics() {
       {"api.observe_self_ns", "ns"},
       {"api.planall_us", "us"},
       {"api.planall_p99_us", "us"},
+      {"api.arrivals_per_wall_s", "1/s"},
       {"api.tenants_per_boundary", "count"},
       {"api.tenant_plan_us.hp", "us"},
       {"api.tenant_plan_us.rt", "us"},
@@ -56,6 +58,7 @@ const std::vector<std::pair<std::string, std::string>>& PerLayerMetrics() {
       {"api.fallbacks_served", "count"},
       {"api.rejected_observations", "count"},
       {"wal.tap_ns", "ns"},
+      {"wal.observe_self_ns", "ns"},
       {"wal.appends", "count"},
       {"wal.bytes_per_event", "bytes"},
       {"wal.fsyncs", "count"},
@@ -256,9 +259,7 @@ class Workload {
   /// The traced pass's fleet is about to serve.
   virtual void BeginTrace(Fleet*, Tracer*) {}
   /// Boundary hook of one pass (null tracer: untraced pass).
-  virtual std::function<std::int64_t(double, std::size_t)> Hook(Fleet*, Tracer*) {
-    return {};
-  }
+  virtual BoundaryHook Hook(Fleet*, Tracer*) { return {}; }
   /// Checks and QoS on the first untraced pass, or on the traced pass.
   virtual void PostServe(Fleet*, const ServeResult&, Tracer*, Report*) {}
   /// Snapshots and recovers the served fleet, checking the round trip;
@@ -268,8 +269,8 @@ class Workload {
   }
   virtual void Teardown(Fleet*) {}
   /// Traced run only: a companion scenario for layers this workload's own
-  /// traffic never enters (the journal on azure-fleet, the freshness loop
-  /// on alibaba-paper), so every layer is measured on a gated workload.
+  /// traffic never enters (the journal on alibaba-paper), so every layer
+  /// is measured on a gated workload.
   virtual void TraceCompanion(const RunConfig&, Report*) {}
   virtual const ReplicaInput& replica() const = 0;
   /// api.build_s samples (one per ScalerBuilder::Build).
@@ -441,19 +442,19 @@ class AzureFleet final : public Workload {
     f->fleet->AttachTap(tap_.get());
   }
 
-  std::function<std::int64_t(double, std::size_t)> Hook(Fleet*, Tracer* tracer) override {
+  BoundaryHook Hook(Fleet*, Tracer* tracer) override {
     if (!journal_) return {};
     next_checkpoint_ = kCheckpointEvery;
     journal_bytes_ = 0;
     bytes_after_checkpoint_ = JournalBytes();
-    return [this, tracer](double t, std::size_t) -> std::int64_t {
-      if (t < next_checkpoint_) return 0;
+    return [this, tracer](double t, std::size_t) -> Clocks {
+      Clocks excluded;
+      if (t < next_checkpoint_) return excluded;
       next_checkpoint_ += kCheckpointEvery;
-      std::int64_t excluded = 0;
       if (tracer != nullptr) {
-        const std::int64_t t0 = NowNs();
+        const Clocks t0 = Clocks::Now();
         journal_bytes_ += JournalBytes() - bytes_after_checkpoint_;
-        excluded += NowNs() - t0;
+        excluded += Clocks::Now() - t0;
       }
       const std::int64_t t0 = NowNs();
       Status st = [&] {
@@ -463,36 +464,12 @@ class AzureFleet final : public Workload {
       checkpoint_ns_.push_back(static_cast<double>(NowNs() - t0));
       if (!st.ok()) ++checkpoint_failures_;
       if (tracer != nullptr) {
-        const std::int64_t t1 = NowNs();
+        const Clocks t1 = Clocks::Now();
         bytes_after_checkpoint_ = JournalBytes();
-        excluded += NowNs() - t1;
+        excluded += Clocks::Now() - t1;
       }
       return excluded;
     };
-  }
-
-  // azure-fleet's traced run also serves a prefix of its traffic with the
-  // journal attached (three checkpoints, then a 300 s tail): the wal
-  // layer's metrics, beside the unjournaled spans of the same traffic.
-  void TraceCompanion(const RunConfig&, Report* report) override {
-    if (journal_) return;  // azure-fleet-wal journals its own traced pass.
-    journal_ = true;
-    Fleet f = Setup();
-    if (CheckSetup(f, report)) {
-      Tracer tracer;
-      BeginTrace(&f, &tracer);
-      ServeOptions options;
-      options.tracer = &tracer;
-      options.max_boundaries = static_cast<std::size_t>(kJournalPrefixS / kPlanEvery);
-      options.after_boundary = Hook(&f, &tracer);
-      const ServeResult served = Serve(&f, stream_, options);
-      report->attempted += served.attempted;
-      report->failed += served.failed;
-      PostServe(&f, served, &tracer, report);
-      Recover(&f, &tracer, report);
-    }
-    Teardown(&f);
-    journal_ = false;
   }
 
   void PostServe(Fleet*, const ServeResult&, Tracer* tracer, Report* report) override {
@@ -536,6 +513,9 @@ class AzureFleet final : public Workload {
     const std::int64_t open_ns = t1 - t0, recover_ns = t2 - t1;
     report->Set("wal.tap_ns", Median(tracer->TotalNs("wal.tap")), "ns",
                 tracer->TotalNs("wal.tap").size());
+    // The Observe it follows, tap excluded: the journal tax's other half.
+    report->Set("wal.observe_self_ns", Median(tracer->SelfNs("api.Observe")), "ns",
+                tracer->SelfNs("api.Observe").size());
     report->Set("wal.appends", static_cast<double>(appends), "count", 1);
     report->Set("wal.bytes_per_event",
                 appends > 0 ? static_cast<double>(journal_bytes_) / static_cast<double>(appends) : 0.0,
@@ -782,7 +762,7 @@ class RegimeShift final : public Workload {
     Fleet f;
     f.fleet = std::make_unique<api::ScalerFleet>(Workers());
     for (std::size_t i = 0; i < kTenants; ++i) {
-      const std::string& spec = kSpecs[(i / 2) % kSpecs.size()];
+      const std::string spec = kArchetypeSpecs[(i / 2) % std::size(kArchetypeSpecs)];
       const std::int64_t t0 = NowNs();
       auto scaler = api::ScalerBuilder()
                         .WithTrace(train_[i])
@@ -828,10 +808,12 @@ class RegimeShift final : public Workload {
     for (const auto& name : f->names) {
       trained_period_.push_back(f->fleet->Find(name)->trained().period.period);
     }
-    // QoS is scored on the unshifted (no-drift control) tenants, pooled.
+    // QoS is scored on the unshifted (no-drift control) robust_hp:target=0.9
+    // tenants, pooled: the strategy whose objective is the hit rate, as on
+    // the other workloads.
     control_states_.clear();
     for (std::size_t i = 0; i < kTenants; ++i) {
-      if (Shifted(i)) continue;
+      if (Shifted(i) || f->kinds[i] != Kind::kHp) continue;
       std::ostringstream out;
       if (f->fleet->Find(f->names[i])->SaveState(out).ok()) {
         control_states_.push_back({out.str(), &test_[i]});
@@ -839,13 +821,13 @@ class RegimeShift final : public Workload {
     }
   }
 
-  std::function<std::int64_t(double, std::size_t)> Hook(Fleet* f, Tracer*) override {
+  BoundaryHook Hook(Fleet* f, Tracer*) override {
     poll_ = Poll{};
     poll_.first_swap.assign(kTenants, -1.0);
     poll_.drift_events.assign(kTenants, 0);
     poll_.swaps.assign(kTenants, 0);
-    return [this, f](double, std::size_t b) -> std::int64_t {
-      const std::int64_t t0 = NowNs();
+    return [this, f](double, std::size_t b) -> Clocks {
+      const Clocks t0 = Clocks::Now();
       bool refit = false;
       for (std::size_t i = 0; i < kTenants; ++i) {
         auto fresh = f->fleet->Freshness(f->names[i]);
@@ -859,7 +841,7 @@ class RegimeShift final : public Workload {
         poll_.swaps[i] = fresh->swaps_applied;
       }
       if (refit) poll_.refit_boundaries.push_back(b);
-      return NowNs() - t0;
+      return Clocks::Now() - t0;
     };
   }
 
@@ -925,10 +907,6 @@ class RegimeShift final : public Workload {
   const ReplicaInput& replica() const override { return replica_; }
 
  private:
-  static inline const std::vector<std::string> kSpecs = {
-      "robust_hp:target=0.9", "robust_rt:target=1.0", "robust_cost:target=2.0",
-      "backup_pool:pool_size=2"};
-
   struct Poll {
     std::vector<double> first_swap;  ///< First swap after the shift, or -1.
     std::vector<std::size_t> drift_events;
@@ -945,22 +923,28 @@ class RegimeShift final : public Workload {
   ReplicaInput replica_;
 };
 
-// alibaba-paper's traced run also serves the regime-shift scenario, traced,
-// for the freshness loop's metrics (api.freshness_*, api.swap_boundary_ms,
-// api.staleness_s, train.refit_*) and its checks.
+// alibaba-paper's traced run also serves a prefix of azure-fleet-wal's
+// traffic, traced, with the journal attached (three checkpoints, then a
+// 300 s tail): the wal layer's metrics (wal.*) and the journal recovery
+// check on a gated workload.
 void AlibabaPaper::TraceCompanion(const RunConfig& config, Report* report) {
-  RegimeShift regime(config.seed);
-  Fleet f = regime.Setup();
-  if (!CheckSetup(f, report)) return;
-  regime.AfterSetup(&f);
-  Tracer tracer;
-  ServeOptions options;
-  options.tracer = &tracer;
-  options.after_boundary = regime.Hook(&f, &tracer);
-  const ServeResult served = Serve(&f, regime.stream(), options);
-  report->attempted += served.attempted;
-  report->failed += served.failed;
-  regime.PostServe(&f, served, &tracer, report);
+  AzureFleet journaled(config.seed, true, config.scratch);
+  Fleet f = journaled.Setup();
+  if (CheckSetup(f, report)) {
+    Tracer tracer;
+    journaled.BeginTrace(&f, &tracer);
+    ServeOptions options;
+    options.tracer = &tracer;
+    options.max_boundaries =
+        static_cast<std::size_t>(AzureFleet::kJournalPrefixS / AzureFleet::kPlanEvery);
+    options.after_boundary = journaled.Hook(&f, &tracer);
+    const ServeResult served = Serve(&f, journaled.stream(), std::move(options));
+    report->attempted += served.attempted;
+    report->failed += served.failed;
+    journaled.PostServe(&f, served, &tracer, report);
+    journaled.Recover(&f, &tracer, report);
+  }
+  journaled.Teardown(&f);
 }
 
 // ---------------------------------------------------------------------------
@@ -1107,11 +1091,14 @@ void StageReplicas(const ReplicaInput& in, Report* report) {
   }
 }
 
-/// The process's peak resident set so far.
-double PeakRssMb() {
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux.
+/// A "<key>: <n> kB" field of /proc/self/status, in MB (0 when absent).
+double ProcStatusMb(const std::string& key) {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(key + ":", 0) == 0) return std::strtod(line.c_str() + key.size() + 1, nullptr) / 1024.0;
+  }
+  return 0.0;
 }
 
 std::unique_ptr<Workload> MakeWorkload(const RunConfig& config) {
@@ -1130,7 +1117,17 @@ std::unique_ptr<Workload> MakeWorkload(const RunConfig& config) {
 /// each on a fresh fleet; the end-to-end metrics pool every pass. The first
 /// `setup_reps` fleets come from timed set-ups, later ones from Again().
 /// Set-up, checks and recovery do not count against the serving time.
+///
+/// Throughput and plan times are read on the process's CPU clock, so time
+/// the host takes a vCPU away, which on a shared machine comes in spells
+/// that outlast a run, does not count; wall-clock figures are per-layer
+/// metrics of the traced run. Observe latencies are wall time (one clock
+/// read per call; a CPU clock read is a system call).
 void RunUntraced(Workload* w, const RunConfig& config, Report* report) {
+  // The benchmark's own memory, inputs and the per-arrival sample buffer,
+  // is resident before set-up; peak_rss_mb is what serving adds to it.
+  std::vector<float> observe_buffer(w->stream().arrivals.size(), 0.0f);
+  const double baseline_mb = ProcStatusMb("VmRSS");
   std::vector<double> setup_ns;
   const auto next_fleet = [&](std::size_t pass) {
     const bool setup = pass < w->setup_reps();
@@ -1141,9 +1138,9 @@ void RunUntraced(Workload* w, const RunConfig& config, Report* report) {
     return std::make_pair(std::move(fleet), ns);
   };
   std::vector<float> observe_ns;
-  std::vector<double> plan_ns;
-  std::vector<double> pass_rates;  // Arrivals per second, complete passes.
-  double serve_s = 0.0;
+  std::vector<double> plan_us, decide_us;
+  std::vector<double> pass_rates;  // Arrivals per CPU second, complete passes.
+  double serve_cpu_s = 0.0;
   std::size_t arrivals = 0;
   std::vector<std::uint64_t> first_digest;
   std::int64_t deadline = NowNs() + static_cast<std::int64_t>(config.seconds * 1e9);
@@ -1156,22 +1153,27 @@ void RunUntraced(Workload* w, const RunConfig& config, Report* report) {
     ServeOptions options;
     options.deadline_ns = deadline + untimed + (NowNs() - t0);
     options.after_boundary = w->Hook(&fleet, nullptr);
+    options.observe_buffer = std::move(observe_buffer);
     untimed += NowNs() - t0;
-    const ServeResult served = Serve(&fleet, w->stream(), options);
+    ServeResult served = Serve(&fleet, w->stream(), std::move(options));
     t0 = NowNs();
     if (pass == 0) {
       w->PostServe(&fleet, served, nullptr, report);
       w->Recover(&fleet, nullptr, report);
       // Read before the benchmark pools the samples of later passes.
-      report->Set("peak_rss_mb", PeakRssMb(), "MB", 1);
+      report->Set("peak_rss_mb", ProcStatusMb("VmHWM") - baseline_mb, "MB", 1);
     }
     w->Teardown(&fleet);
     observe_ns.insert(observe_ns.end(), served.observe_ns.begin(), served.observe_ns.end());
-    plan_ns.insert(plan_ns.end(), served.plan_ns.begin(), served.plan_ns.end());
-    if (served.completed && served.serve_s > 0.0) {
-      pass_rates.push_back(static_cast<double>(served.arrivals) / served.serve_s);
+    observe_buffer = std::move(served.observe_ns);
+    for (std::size_t b = 0; b < served.boundaries; ++b) {
+      plan_us.push_back(served.plan_cpu_ns[b] * kUs);
+      if (served.decided[b]) decide_us.push_back(served.plan_cpu_ns[b] * kUs);
     }
-    serve_s += served.serve_s;
+    if (served.completed && served.serve_cpu_s > 0.0) {
+      pass_rates.push_back(static_cast<double>(served.arrivals) / served.serve_cpu_s);
+    }
+    serve_cpu_s += served.serve_cpu_s;
     arrivals += served.arrivals;
     report->attempted += served.attempted;
     report->failed += served.failed;
@@ -1193,14 +1195,15 @@ void RunUntraced(Workload* w, const RunConfig& config, Report* report) {
   report->Set("setup_s", Median(setup_ns) * 1e-9, "s", setup_ns.size());
   report->SetTail("observe_p50_ns", ChunkedTail(observe_ns, 0.5), "ns");
   report->SetTail("observe_p99_ns", ChunkedTail(observe_ns, 0.99), "ns");
-  for (double& ns : plan_ns) ns *= kUs;
-  report->SetTail("plan_p50_us", ChunkedTail(plan_ns, 0.5), "us");
-  // The median complete pass, like the sliced percentiles: a slow spell on
-  // the machine moves one pass, not the result. A workload whose stream
+  report->SetTail("plan_p50_us", ChunkedTail(plan_us, 0.5), "us");
+  report->SetTail("decide_p50_us", ChunkedTail(decide_us, 0.5), "us");
+  report->Check(!decide_us.empty(), "some boundary returned a non-empty action");
+  // The median complete pass, like the sliced percentiles: a burst on the
+  // machine moves one pass, not the result. A workload whose stream
   // outlasts the run (the journaled one) reports the run's overall rate.
   report->Set("arrivals_per_s",
               !pass_rates.empty() ? Median(pass_rates)
-                                  : static_cast<double>(arrivals) / serve_s,
+                                  : static_cast<double>(arrivals) / serve_cpu_s,
               "1/s", arrivals);
   report->Check(arrivals > 0, "served at least one arrival");
 }
@@ -1217,7 +1220,7 @@ void RunTraced(Workload* w, const RunConfig& config, Report* report) {
   ServeOptions options;
   options.deadline_ns = NowNs() + static_cast<std::int64_t>(config.seconds * 0.5e9);
   options.after_boundary = w->Hook(&plain, nullptr);
-  const ServeResult untraced = Serve(&plain, w->stream(), options);
+  const ServeResult untraced = Serve(&plain, w->stream(), std::move(options));
   HealthCounts health = CountHealth(*plain.fleet);
   w->Teardown(&plain);
   plain.fleet.reset();
@@ -1247,6 +1250,8 @@ void RunTraced(Workload* w, const RunConfig& config, Report* report) {
   const auto& observe_self = tracer.SelfNs("api.Observe");
   report->Set("api.observe_self_ns", Median(observe_self), "ns", observe_self.size());
   report->Set("api.planall_us", Median(untraced.plan_ns) * kUs, "us", untraced.plan_ns.size());
+  report->Set("api.arrivals_per_wall_s", static_cast<double>(untraced.arrivals) / untraced.serve_s,
+              "1/s", untraced.arrivals);
   std::vector<double> planall_us = untraced.plan_ns;
   for (double& ns : planall_us) ns *= kUs;
   report->SetTail("api.planall_p99_us", ChunkedTail(planall_us, 0.99), "us");
@@ -1285,12 +1290,6 @@ void RunTraced(Workload* w, const RunConfig& config, Report* report) {
 }
 
 }  // namespace
-
-const std::vector<std::string>& WorkloadNames() {
-  static const std::vector<std::string> kNames = {"azure-fleet", "azure-fleet-wal",
-                                                  "alibaba-paper", "regime-shift"};
-  return kNames;
-}
 
 Report RunWorkload(const RunConfig& config) {
   Report report;

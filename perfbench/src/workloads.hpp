@@ -17,9 +17,6 @@ struct RunConfig {
   std::string scratch;  ///< Directory for journals and the span file.
 };
 
-/// Workload names, in the order the benchmark documents them.
-const std::vector<std::string>& WorkloadNames();
-
 /// Runs one workload: end-to-end metrics untraced, or per-layer metrics
 /// from a traced run.
 Report RunWorkload(const RunConfig& config);
